@@ -229,6 +229,11 @@ func TestRealTreeHotAnnotations(t *testing.T) {
 	for _, fn := range []string{
 		"dejavu/internal/asic.(Switch).InjectQuiet",
 		"dejavu/internal/asic.(Switch).run",
+		"dejavu/internal/asic.(Ctx).LoopbackPort",
+		"dejavu/internal/packet.(FiveTuple).Hash",
+		"dejavu/internal/route.(Branching).NextNF",
+		"dejavu/internal/route.(Branching).Decide",
+		"dejavu/internal/route.(Branching).DecideFor",
 		"dejavu/internal/packet.GetParsed",
 		"dejavu/internal/packet.PutParsed",
 		"dejavu/internal/packet.(Parsed).CopyFrom",

@@ -48,6 +48,10 @@ type Ctx struct {
 	// never tear a packet between old programs and new state.
 	App any
 
+	// loops is the recirculation rotation of the snapshot the packet
+	// was injected under (see LoopbackPort); nil outside a switch.
+	loops []loopRing
+
 	// shard picks this context's telemetry counter shard. Assigned once
 	// when the pool allocates the context and preserved across resets,
 	// so concurrent injectors spread over shards at zero per-packet
@@ -59,6 +63,44 @@ type Ctx struct {
 	// the hot path pays one atomic add per visited pipeline instead of
 	// one per traversal. Zeroed by the wholesale Ctx reset per packet.
 	tel telemetry.DatapathDelta
+}
+
+// LoopbackPort returns the port a packet leaving toward pipeline's
+// ingress recirculates through: the next port of that pipeline's
+// loopback rotation, or its dedicated recirculation port when the
+// pipeline has no front-panel port in loopback mode (§4 spreads
+// recirculation over loopback ports for bandwidth). The rotation comes
+// from the packet's own snapshot, published together with the ports'
+// loopback modes, so the port returned is in loopback mode for the
+// whole of the packet's life — a packet never leaves through a port
+// that its configuration still treats as a front-panel port. The
+// rotation position is one atomic counter per pipeline: no lock, no
+// map write.
+//
+//dv:hotpath
+func (c *Ctx) LoopbackPort(pipeline int) PortID {
+	if pipeline < 0 || pipeline >= len(c.loops) || len(c.loops[pipeline].ports) == 0 {
+		return RecircPort(pipeline)
+	}
+	r := &c.loops[pipeline]
+	n := r.next.n.Add(1) - 1
+	return r.ports[n%uint64(len(r.ports))]
+}
+
+// loopRing is one pipeline's recirculation rotation in a snapshot: the
+// pipeline's front-panel ports in loopback mode, ascending, and the
+// rotation counter. The counter belongs to the switch and is shared by
+// every snapshot, so the rotation position survives reconfiguration.
+type loopRing struct {
+	ports []PortID
+	next  *rotationCounter
+}
+
+// rotationCounter is a padded atomic counter: each pipeline's rotation
+// position sits on its own cache line.
+type rotationCounter struct {
+	n atomic.Uint64
+	_ [120]byte
 }
 
 // StageFunc is a behavioural pipelet program: the composed NF logic
@@ -207,6 +249,9 @@ type snapshot struct {
 	// pipelet programs (see Ctx.App). Swapped atomically with them by
 	// Commit, so programs never observe state from another generation.
 	app any
+	// loops is the recirculation rotation per pipeline, derived from
+	// loopback by update whenever a writer changes port modes.
+	loops []loopRing
 }
 
 // clone returns a deep copy writers mutate before republishing.
@@ -219,8 +264,31 @@ func (sn *snapshot) clone() *snapshot {
 		ingress:  append([]StageFunc(nil), sn.ingress...),
 		egress:   append([]StageFunc(nil), sn.egress...),
 		app:      sn.app,
+		loops:    sn.loops,
 	}
 	return n
+}
+
+// rotate rebuilds the per-pipeline recirculation rotations from the
+// snapshot's loopback modes, keeping the switch's rotation counters.
+// It runs on an unpublished snapshot: New's first one, or update's
+// clone.
+//
+//dv:snapshotwriter
+func (sn *snapshot) rotate(prof Profile, counters []rotationCounter) {
+	loops := make([]loopRing, prof.Pipelines)
+	for pipe := range loops {
+		loops[pipe].next = &counters[pipe]
+	}
+	for p, m := range sn.loopback {
+		if m == LoopbackOff {
+			continue
+		}
+		if pipe := prof.PipelineOf(PortID(p)); pipe >= 0 && pipe < len(loops) {
+			loops[pipe].ports = append(loops[pipe].ports, PortID(p))
+		}
+	}
+	sn.loops = loops
 }
 
 // loopbackOf returns the loopback mode of a front-panel port (special
@@ -264,6 +332,10 @@ type Switch struct {
 	cpuMu    sync.Mutex
 
 	drops dropCounter
+
+	// rotations holds each pipeline's loopback rotation position; the
+	// snapshots' loopRings point into it.
+	rotations []rotationCounter
 }
 
 // ctxPool recycles per-packet contexts across injections. Each new
@@ -293,6 +365,7 @@ func New(prof Profile) *Switch {
 		frontStats:  make([]*PortStats, prof.TotalPorts()),
 		recircStats: make([]*PortStats, prof.Pipelines),
 		cpuStats:    &PortStats{},
+		rotations:   make([]rotationCounter, prof.Pipelines),
 	}
 	for i := range s.frontStats {
 		s.frontStats[i] = &PortStats{}
@@ -300,12 +373,14 @@ func New(prof Profile) *Switch {
 	for i := range s.recircStats {
 		s.recircStats[i] = &PortStats{}
 	}
-	s.snap.Store(&snapshot{
+	sn := &snapshot{
 		loopback: make([]LoopbackMode, prof.TotalPorts()),
 		portDown: make([]bool, prof.TotalPorts()),
 		ingress:  make([]StageFunc, prof.Pipelines),
 		egress:   make([]StageFunc, prof.Pipelines),
-	})
+	}
+	sn.rotate(prof, s.rotations)
+	s.snap.Store(sn)
 	return s
 }
 
@@ -378,7 +453,10 @@ func (s *Switch) SetLoopback(port PortID, mode LoopbackMode) error {
 	if IsRecircPort(port) || port == PortCPU {
 		return fmt.Errorf("asic: port %d mode is fixed", port)
 	}
-	s.update(func(sn *snapshot) { sn.loopback[port] = mode })
+	s.update(func(sn *snapshot) {
+		sn.loopback[port] = mode
+		sn.rotate(s.prof, s.rotations)
+	})
 	return nil
 }
 
@@ -575,7 +653,7 @@ func (s *Switch) Inject(in PortID, pkt *packet.Parsed) (*Trace, error) {
 	tr := &Trace{}
 	ctx := ctxPool.Get().(*Ctx)
 	shard := ctx.shard
-	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app}
+	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app, loops: sn.loops}
 	ctx.shard = shard
 	err := s.run(sn, ctx, tr)
 	s.countDone(sn, ctx, tr)
@@ -599,7 +677,7 @@ func (s *Switch) InjectQuiet(in PortID, pkt *packet.Parsed) (QuietResult, error)
 	*tr = Trace{quiet: true}
 	ctx := ctxPool.Get().(*Ctx)
 	shard := ctx.shard
-	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app}
+	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app, loops: sn.loops}
 	ctx.shard = shard
 	err := s.run(sn, ctx, tr)
 	s.countDone(sn, ctx, tr)
@@ -721,6 +799,7 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 		ctx.Meta = Meta{InPort: in, OutPort: PortUnset}
 		ctx.Pipelet = PipeletID{}
 		ctx.App = sn.app
+		ctx.loops = sn.loops
 		err := s.run(sn, ctx, tr)
 
 		switch {

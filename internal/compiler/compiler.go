@@ -96,9 +96,14 @@ func Allocate(cb *p4.ControlBlock, maxStages int) (*Plan, error) {
 		Block:      cb,
 		TableStage: assigned,
 	}
-	stageUsed := make([]mau.Resources, 0, maxStages)
-	stageTables := make([][]string, 0, maxStages)
-	stageFramework := make([]bool, 0, maxStages)
+	// The per-stage slices grow with the stages actually used:
+	// MinStages passes an effectively unlimited budget, and sizing them
+	// by maxStages would allocate and zero tens of megabytes per call.
+	var (
+		stageUsed      []mau.Resources
+		stageTables    [][]string
+		stageFramework []bool
+	)
 	cap := mau.StageCapacity()
 
 	seen := make(map[string]bool, len(order))

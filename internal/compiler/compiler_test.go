@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -342,5 +343,35 @@ func TestAllocateSplitTableDependenciesRespected(t *testing.T) {
 	if plan.TableStage["uses_port"] <= lastSlice {
 		t.Errorf("dependent at stage %d, last slice at %d\n%s",
 			plan.TableStage["uses_port"], lastSlice, plan)
+	}
+}
+
+// TestMinStagesAllocBudget bounds the memory one MinStages call
+// allocates. MinStages passes an effectively unlimited stage budget to
+// Allocate; the per-stage bookkeeping must grow with the stages the
+// block uses, not be preallocated for the budget (which once cost
+// about 85 MB per call and dominated every full redeploy).
+func TestMinStagesAllocBudget(t *testing.T) {
+	const budget = 64 << 10 // bytes per call
+	for _, cb := range []*p4.ControlBlock{
+		nf.NewFirewall(true).Block(),
+		nf.NewLoadBalancer(65536).Block(),
+		nf.NewRouter().Block(),
+	} {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := MinStages(cb); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call besides the timed runs.
+		perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		if perCall >= budget {
+			t.Errorf("MinStages(%s) allocates %d B per call (%.0f allocs), budget %d B",
+				cb.Name, perCall, allocs, budget)
+		}
 	}
 }

@@ -101,7 +101,7 @@ func New(prof asic.Profile, chains []route.Chain, placement *route.Placement, nf
 	for i, n := range names {
 		c.ids[n] = uint8(i + 1)
 	}
-	c.fallback.Store(&Runtime{branching: br, postcards: c.postcards})
+	c.fallback.Store(c.newRuntime(br))
 	return c, nil
 }
 
@@ -185,7 +185,7 @@ func (c *Composer) Build() (*Deployment, error) {
 		Ingress:  make([]asic.StageFunc, c.Prof.Pipelines),
 		Egress:   make([]asic.StageFunc, c.Prof.Pipelines),
 		Composer: c,
-		Runtime:  &Runtime{branching: c.Branching, postcards: c.postcards},
+		Runtime:  c.newRuntime(c.Branching),
 	}
 	for pipe := 0; pipe < c.Prof.Pipelines; pipe++ {
 		for _, dir := range []asic.Direction{asic.Ingress, asic.Egress} {
@@ -264,17 +264,27 @@ func (d *Deployment) InstallOn(sw *asic.Switch) error {
 // counts without a map lookup.
 type placedNF struct {
 	f      nf.NF
-	name   string
 	telIdx int
 }
 
-// pipeletFunc builds the behavioural program of one pipelet.
+// pipeletFunc builds the behavioural program of one pipelet. The NFs
+// it hosts are dispatched through a table indexed by the composer's
+// meta.next_nf ids, which stay stable across generations; the runtime
+// translates the branching table's next-NF ids into them.
 func (c *Composer) pipeletFunc(pl asic.PipeletID, nfs []nf.NF, mode route.Mode) asic.StageFunc {
 	isIngress := pl.Dir == asic.Ingress
 	placed := make([]placedNF, 0, len(nfs))
-	for _, f := range nfs {
-		placed = append(placed, placedNF{f: f, name: f.Name(), telIdx: c.telemetry.nfIndex(f.Name())})
+	// local[id] is the index in placed of the NF with meta.next_nf id,
+	// -1 when that NF lives elsewhere.
+	local := make([]int, len(c.ids)+1)
+	for i := range local {
+		local[i] = -1
 	}
+	for _, f := range nfs {
+		local[c.ids[f.Name()]] = len(placed)
+		placed = append(placed, placedNF{f: f, telIdx: c.telemetry.nfIndex(f.Name())})
+	}
+	classifier := c.ids[ClassifierNF]
 	return func(ctx *asic.Ctx) {
 		rt := c.runtimeOf(ctx)
 		hdr := ctx.Pkt
@@ -288,23 +298,20 @@ func (c *Composer) pipeletFunc(pl asic.PipeletID, nfs []nf.NF, mode route.Mode) 
 		}
 
 		for {
-			name, ok := nextNF(rt, hdr)
-			if !ok {
-				break
-			}
-			ran := -1
-			for i := range placed {
-				if placed[i].name == name {
-					ran = i
-					break
-				}
-			}
-			if ran < 0 {
-				break // next NF lives elsewhere; branching will route it
-			}
+			// check_nextNF: untagged packets go to the classifier;
+			// tagged packets follow the chain set of the runtime the
+			// packet's snapshot published.
 			wasFresh := fresh(hdr)
-			placed[ran].f.Execute(hdr)
-			c.telemetry.countNFIdx(placed[ran].telIdx)
+			id := classifier
+			if !wasFresh {
+				id = rt.nfID[rt.branching.NextNFID(hdr.SFC.ServicePathID, hdr.SFC.ServiceIndex)]
+			}
+			if id == 0 || local[id] < 0 {
+				break // chain complete, or the next NF lives elsewhere
+			}
+			ran := &placed[local[id]]
+			ran.f.Execute(hdr)
+			c.telemetry.countNFIdx(ran.telIdx)
 			if wasFresh && hdr.Valid(sfcBit) {
 				// The classifier just stamped a path.
 				c.telemetry.countPath(hdr.SFC.ServicePathID)
@@ -369,16 +376,6 @@ func fresh(hdr *packetAlias) bool {
 	return !hdr.Valid(sfcBit) && hdr.SFC.ServicePathID == 0
 }
 
-// nextNF resolves which NF the packet must visit next: untagged
-// packets go to the classifier; tagged packets consult the chain set
-// of the runtime the packet's snapshot published.
-func nextNF(rt *Runtime, hdr *packetAlias) (string, bool) {
-	if fresh(hdr) {
-		return ClassifierNF, true
-	}
-	return rt.branching.NextNF(hdr.SFC.ServicePathID, hdr.SFC.ServiceIndex)
-}
-
 // checkSFCFlags translates the SFC header's platform metadata flags to
 // the platform context, reporting whether processing must stop.
 func (c *Composer) checkSFCFlags(hdr *packetAlias, ctx *asic.Ctx) (stop bool) {
@@ -419,7 +416,7 @@ func applyBranching(rt *Runtime, hdr *packetAlias, ctx *asic.Ctx, pipeline int) 
 		ctx.Meta.ToCPU = true
 		return
 	}
-	hop := rt.branching.Decide(hdr.SFC.ServicePathID, hdr.SFC.ServiceIndex, pipeline, asic.PortID(hdr.SFC.Meta.OutPort))
+	hop := rt.branching.DecideFor(ctx, hdr.SFC.ServicePathID, hdr.SFC.ServiceIndex, pipeline, asic.PortID(hdr.SFC.Meta.OutPort))
 	switch hop.Kind {
 	case route.HopForward:
 		ctx.Meta.OutPort = hop.Port

@@ -26,6 +26,20 @@ import (
 type Runtime struct {
 	branching *route.Branching
 	postcards *atomic.Pointer[telemetry.PostcardLog]
+	// nfID translates the branching table's NF ids into the composer's
+	// stable meta.next_nf ids, which the pipelet programs dispatch on
+	// (0: a complete chain, or an NF the composer does not know).
+	nfID []uint8
+}
+
+// newRuntime publishes br against this composer's NF identities.
+func (c *Composer) newRuntime(br *route.Branching) *Runtime {
+	names := br.NFNames()
+	ids := make([]uint8, len(names))
+	for i, name := range names {
+		ids[i] = c.ids[name]
+	}
+	return &Runtime{branching: br, postcards: c.postcards, nfID: ids}
 }
 
 // Branching returns the runtime's branching function.
@@ -69,7 +83,7 @@ func (c *Composer) AdoptState(prev *Composer) error {
 	c.postcards = prev.postcards
 	// Rebuild the fallback runtime: same shared postcard cell, this
 	// generation's branching.
-	c.fallback.Store(&Runtime{branching: c.Branching, postcards: c.postcards})
+	c.fallback.Store(c.newRuntime(c.Branching))
 	return nil
 }
 
@@ -92,7 +106,7 @@ func (c *Composer) FuncFor(pl asic.PipeletID) asic.StageFunc {
 //dv:snapshotwriter
 func (c *Composer) Assemble(parser *p4.ParserGraph, idt *p4.GlobalIDTable,
 	blocks map[asic.PipeletID]*p4.ControlBlock, ingress, egress []asic.StageFunc) *Deployment {
-	rt := &Runtime{branching: c.Branching, postcards: c.postcards}
+	rt := c.newRuntime(c.Branching)
 	// Refresh the build-time fallback: the pipeline may have swapped in
 	// a cached Branching generation since this composer was created.
 	c.fallback.Store(rt)

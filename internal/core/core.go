@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/compiler"
@@ -127,7 +126,6 @@ type Deployment struct {
 	Driver *fault.Driver
 
 	composed *compose.Deployment
-	loops    *loopbackPool
 	// cache holds the staged build pipeline's per-stage artifacts so
 	// reconfigurations rebuild only invalidated stages.
 	cache *pipeline.Cache
@@ -148,60 +146,6 @@ type Deployment struct {
 // deadPort remembers what a failed port was doing when it died.
 type deadPort struct {
 	wasLoopback bool
-}
-
-// loopbackPool round-robins recirculation traffic over a pipeline's
-// loopback ports, falling back to the dedicated recirculation port.
-// Ports can be removed at runtime (failure handling).
-type loopbackPool struct {
-	mu     sync.Mutex
-	byPipe map[int][]asic.PortID
-	rr     map[int]uint64
-}
-
-func (p *loopbackPool) choose(pipeline int) asic.PortID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ports := p.byPipe[pipeline]
-	if len(ports) == 0 {
-		return asic.RecircPort(pipeline)
-	}
-	if p.rr == nil {
-		p.rr = make(map[int]uint64)
-	}
-	n := p.rr[pipeline]
-	p.rr[pipeline] = n + 1
-	return ports[int(n)%len(ports)]
-}
-
-// add returns a port to the rotation (recovery), keeping the pool
-// duplicate-free.
-func (p *loopbackPool) add(port asic.PortID, pipeline int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, candidate := range p.byPipe[pipeline] {
-		if candidate == port {
-			return
-		}
-	}
-	if p.byPipe == nil {
-		p.byPipe = make(map[int][]asic.PortID)
-	}
-	p.byPipe[pipeline] = append(p.byPipe[pipeline], port)
-}
-
-// remove drops a port from rotation, reporting whether it was present.
-func (p *loopbackPool) remove(port asic.PortID, pipeline int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ports := p.byPipe[pipeline]
-	for i, candidate := range ports {
-		if candidate == port {
-			p.byPipe[pipeline] = append(ports[:i:i], ports[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // P4Source renders the deployment as a single multi-pipeline
@@ -325,22 +269,18 @@ func Deploy(cfg Config) (*Deployment, error) {
 	placement := res.Placement
 
 	// Install on the switch.
+	// Recirculation spreads over the configured loopback ports of each
+	// pipeline (§5 puts 16 ports in loopback for exactly this
+	// bandwidth), falling back to the dedicated recirculation port: the
+	// switch publishes the rotation with the ports' loopback modes, so
+	// port failures and recoveries move ports in and out of it in the
+	// same snapshot swap.
 	sw := asic.New(cfg.Prof)
-	loopsByPipe := make(map[int][]asic.PortID)
 	for _, port := range cfg.LoopbackPorts {
 		if err := sw.SetLoopback(port, asic.LoopbackOnChip); err != nil {
 			return nil, fmt.Errorf("core: loopback %d: %w", port, err)
 		}
-		pipe := cfg.Prof.PipelineOf(port)
-		loopsByPipe[pipe] = append(loopsByPipe[pipe], port)
 	}
-	// Spread recirculation over the configured loopback ports of each
-	// pipeline (§5 puts 16 ports in loopback for exactly this
-	// bandwidth); the dedicated recirculation port is the fallback. The
-	// pool is shared with the deployment so port failures remove dead
-	// ports from rotation.
-	pool := &loopbackPool{byPipe: loopsByPipe}
-	comp.Branching.SetLoopbackChooser(pool.choose)
 	if err := res.Dep.InstallOn(sw); err != nil {
 		return nil, err
 	}
@@ -364,7 +304,6 @@ func Deploy(cfg Config) (*Deployment, error) {
 		Datapath:     dp,
 		Postcards:    pcl,
 		composed:     res.Dep,
-		loops:        pool,
 		cache:        cache,
 		program:      res.Program,
 		Placement:    placement,

@@ -88,12 +88,6 @@ func (d *Deployment) RemoveChain(pathID uint16) error {
 // placeNewNF greedily chooses the feasible pipelet minimizing the new
 // chain set's cost for one unplaced NF.
 func (d *Deployment) placeNewNF(placement *route.Placement, chains []route.Chain, name string) error {
-	f := d.Config.NFs.ByName(name)
-	stages, err := compiler.MinStages(f.Block())
-	if err != nil {
-		return err
-	}
-	_ = stages // feasibility is re-verified by the full compile below
 	var best asic.PipeletID
 	bestSet := false
 	var bestCost route.Cost
@@ -261,11 +255,6 @@ func (d *Deployment) swap(chains []route.Chain, placement *route.Placement) erro
 	if err != nil {
 		return err
 	}
-	if res.RoutingRebuilt && d.loops != nil {
-		// A fresh Branching generation needs the loopback spreader; a
-		// cached one already carries it (and is live — don't re-set).
-		res.Composer.Branching.SetLoopbackChooser(d.loops.choose)
-	}
 	delta := route.Diff(d.program, res.Program)
 
 	// DV009: every branching-entry write must target a table the
@@ -390,6 +379,8 @@ func (d *Deployment) HandlePortDown(port asic.PortID) (PortDownReport, error) {
 	if d.Switch.LoopbackModeOf(port) != asic.LoopbackOff {
 		rep.WasLoopback = true
 		rep.LostLoopbackGbps = d.Config.Prof.PortGbps
+		// Leaving loopback mode also takes the port out of the
+		// recirculation rotation, in the same snapshot swap.
 		if err := d.Switch.SetLoopback(port, asic.LoopbackOff); err != nil {
 			return rep, err
 		}
@@ -404,11 +395,6 @@ func (d *Deployment) HandlePortDown(port asic.PortID) (PortDownReport, error) {
 		d.Capacity.LoopbackPorts = len(kept)
 		// The failed port no longer serves external traffic either.
 		d.Capacity.TotalPorts--
-		// Take it out of the recirculation rotation so no traffic is
-		// steered into a dead port.
-		if d.loops != nil {
-			d.loops.remove(port, d.Config.Prof.PipelineOf(port))
-		}
 	} else {
 		d.Capacity.TotalPorts--
 	}
@@ -462,9 +448,6 @@ func (d *Deployment) HandlePortUp(port asic.PortID) (PortUpReport, error) {
 		rep.RestoredLoopbackGbps = d.Config.Prof.PortGbps
 		d.Config.LoopbackPorts = append(d.Config.LoopbackPorts, port)
 		d.Capacity.LoopbackPorts = len(d.Config.LoopbackPorts)
-		if d.loops != nil {
-			d.loops.add(port, d.Config.Prof.PipelineOf(port))
-		}
 	}
 	d.Capacity.TotalPorts++
 	delete(d.dead, port)

@@ -74,11 +74,12 @@ func (c *Controller) HandlePacketIn(pkt *packet.Parsed) (reinject bool, err erro
 
 	// LB session miss: the destination still names a VIP.
 	if lb := c.lb(); lb != nil && lb.IsVIP(ft.Dst) {
-		backend, err := lb.SelectBackend(ft.Dst, ft.Hash())
+		h := ft.Hash()
+		backend, err := lb.SelectBackend(ft.Dst, h)
 		if err != nil {
 			return false, err
 		}
-		if err := lb.InstallSession(ft.Hash(), backend); err != nil {
+		if err := lb.InstallSession(h, backend); err != nil {
 			return false, fmt.Errorf("ctl: session install: %w", err)
 		}
 		c.mu.Lock()

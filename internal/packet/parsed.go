@@ -2,6 +2,7 @@ package packet
 
 import (
 	"fmt"
+	"hash/crc32"
 	"strings"
 
 	"dejavu/internal/nsh"
@@ -86,9 +87,13 @@ func (p *Parsed) SetInvalid(mask HeaderBit) { p.valid &^= mask }
 // ValidMask returns the raw validity bit set.
 func (p *Parsed) ValidMask() HeaderBit { return p.valid }
 
-// Reset clears the parsed vector for reuse.
+// Reset clears the parsed vector for reuse. The SFC header is zeroed
+// too, not just invalidated: the framework reads a zero service path
+// as "never classified", so a reused vector must not keep the path of
+// the packet it last held.
 func (p *Parsed) Reset() {
 	p.valid = 0
+	p.SFC = nsh.Header{}
 	p.Payload = nil
 }
 
@@ -451,8 +456,18 @@ func (p *Parsed) FiveTuple() (ft FiveTuple, ok bool) {
 	return ft, true
 }
 
-// Hash returns a CRC32-style hash of the five-tuple, matching the
-// sessionHash computation in the paper's LB example (Fig. 4).
+// Hash returns the CRC-32 (IEEE) of the five-tuple's 13-byte key
+// src(4) dst(4) proto(1) sport(2) dport(2), matching the sessionHash
+// computation in the paper's LB example (Fig. 4). It is a table CRC,
+// the software counterpart of the switch's fixed-cost hash unit; LB
+// backends, sessions and the VXLAN source port all derive from its
+// value, so the value itself is pinned by golden vectors.
+//
+// The loop walks the stdlib's IEEE table directly rather than calling
+// crc32.ChecksumIEEE: that dispatches through a function variable, so
+// the key would escape and every hash would allocate.
+//
+//dv:hotpath
 func (ft FiveTuple) Hash() uint32 {
 	var key [13]byte
 	copy(key[0:4], ft.Src[:])
@@ -460,21 +475,10 @@ func (ft FiveTuple) Hash() uint32 {
 	key[8] = ft.Proto
 	put16(key[9:11], ft.SrcPort)
 	put16(key[11:13], ft.DstPort)
-	return crc32Hash(key[:])
-}
-
-// crc32Hash is a table-free CRC-32 (IEEE polynomial, reflected).
-func crc32Hash(data []byte) uint32 {
+	tab := crc32.IEEETable
 	crc := ^uint32(0)
-	for _, b := range data {
-		crc ^= uint32(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0xEDB88320
-			} else {
-				crc >>= 1
-			}
-		}
+	for _, b := range key {
+		crc = tab[byte(crc)^b] ^ crc>>8
 	}
 	return ^crc
 }

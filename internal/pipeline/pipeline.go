@@ -140,7 +140,7 @@ type Result struct {
 	// rebuilt — the pipelet_program writes of an incremental swap.
 	ChangedFuncs []asic.PipeletID
 	// RoutingRebuilt is true when the routing stage missed: the
-	// Branching instance is new and still needs its loopback chooser.
+	// Branching instance is new rather than a cached generation.
 	RoutingRebuilt bool
 	Info           BuildInfo
 }
@@ -387,7 +387,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	if v, ok := cache.lookup("routing", routeHash); ok {
 		art := v.(routingArtifact)
 		// Adopt the cached generation wholesale: it carries runtime-set
-		// state (loopback chooser, exit ports) the fresh instance lacks.
+		// state (exit ports, remote NFs) the fresh instance lacks.
 		comp.Branching = art.branching
 		res.Program = art.program
 		res.Traversals = art.traversals

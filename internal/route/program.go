@@ -121,38 +121,23 @@ func keyLess(a, b EntryKey) bool {
 	return a.Index < b.Index
 }
 
-// entryFor computes the static entry for one (pipeline, path, index),
-// mirroring Decide for the outPort-unset case (the outPort-set fast
-// path is a priority rule common to every entry, not table content).
+// entryFor computes the static entry for one (pipeline, path, index)
+// from the compiled slot Decide reads, for the outPort-unset case (the
+// outPort-set fast path is a priority rule common to every entry, not
+// table content).
 func (b *Branching) entryFor(pipe int, c Chain, index uint8) Entry {
 	key := EntryKey{Pipeline: pipe, Path: c.PathID, Index: index}
-	name, ok := c.NFAt(index)
-	if !ok {
-		// Chain complete: static exit when known, punt otherwise.
-		if port, has := b.exitPort[c.PathID]; has {
-			return Entry{Key: key, Action: ActForward, Port: port}
-		}
-		return Entry{Key: key, Action: ActToCPU}
-	}
-	if port, isRemote := b.remote[name]; isRemote {
-		return Entry{Key: key, Action: ActForward, Port: port}
-	}
-	pl, placed := b.placement.Of(name)
-	if !placed {
-		return Entry{Key: key, Action: ActToCPU}
-	}
-	if pl == (asic.PipeletID{Pipeline: pipe, Dir: asic.Ingress}) {
+	hop, target := b.route(c.PathID, index, pipe)
+	switch {
+	case target >= 0:
+		return Entry{Key: key, Action: ActLoopback, Target: target}
+	case hop.Kind == HopForward:
+		return Entry{Key: key, Action: ActForward, Port: hop.Port}
+	case hop.Kind == HopResubmit:
 		return Entry{Key: key, Action: ActResubmit}
+	default:
+		return Entry{Key: key, Action: ActToCPU}
 	}
-	target := pl.Pipeline
-	eg := asic.PipeletID{Pipeline: target, Dir: asic.Egress}
-	if port, has := b.exitPort[c.PathID]; has &&
-		c.ExitPipeline == target &&
-		b.placement.ModeOf(eg) != Parallel &&
-		remainderCompletesIn(c, b.placement, len(c.NFs)-int(index), eg) {
-		return Entry{Key: key, Action: ActForward, Port: port}
-	}
-	return Entry{Key: key, Action: ActLoopback, Target: target}
 }
 
 // Program renders the branching function as the explicit entry set
